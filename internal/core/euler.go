@@ -162,7 +162,10 @@ type Stats struct {
 	Sampling    time.Duration `json:"sampling_ns"`
 	NcoverBuild time.Duration `json:"ncover_build_ns"`
 	Inversion   time.Duration `json:"inversion_ns"`
-	Total       time.Duration `json:"total_ns"`
+	// Output is the materialization of the positive cover into the
+	// returned FD set, the last stage inside Total.
+	Output time.Duration `json:"output_ns"`
+	Total  time.Duration `json:"total_ns"`
 }
 
 // Progress is a snapshot of a running discovery, delivered to an
@@ -316,12 +319,15 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	stats.AgreeSets = sampler.SeenCount()
 	stats.NcoverSize = ncover.Size()
 	stats.PcoverSize = pcover.Size()
-	encStart.SetTo(&stats.Total)
 	if err != nil {
+		encStart.SetTo(&stats.Total)
 		return nil, stats, err
 	}
+	outStart := timing.Start()
 	out := pcover.FDs()
+	outStart.SetTo(&stats.Output)
 	stats.PcoverSize = out.Len()
+	encStart.SetTo(&stats.Total)
 	return out, stats, nil
 }
 

@@ -219,6 +219,26 @@ func TestDiscoverEncodedDirect(t *testing.T) {
 	}
 }
 
+// TestStatsStagesAddUp checks that output materialization has a stage of
+// its own and that the disjoint stage timers never exceed the total.
+func TestStatsStagesAddUp(t *testing.T) {
+	rel := randomRelation(rand.New(rand.NewSource(5)), 200, 10, 4)
+	got, stats, err := Discover(rel, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 {
+		t.Fatal("want a non-empty cover")
+	}
+	if stats.Output <= 0 {
+		t.Errorf("Output = %v, want > 0", stats.Output)
+	}
+	sum := stats.Preprocess + stats.Sampling + stats.NcoverBuild + stats.Inversion + stats.Output
+	if sum > stats.Total {
+		t.Errorf("stages sum to %v, more than Total %v (%+v)", sum, stats.Total, stats)
+	}
+}
+
 func TestGrowthRate(t *testing.T) {
 	if growthRate(0, 0) != 0 || growthRate(0, 10) != 0 {
 		t.Error("no additions must be zero growth")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eulerfd/internal/fdset"
+	"eulerfd/internal/pool"
 )
 
 func TestNCoverAddMinimizes(t *testing.T) {
@@ -246,6 +247,8 @@ func TestInvertLiteralMatchesInvert(t *testing.T) {
 	}
 }
 
+// TestInvertAllParallelMatchesSequential runs RHS-sharded inversion on a
+// four-worker pool against the sequential path.
 func TestInvertAllParallelMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(131))
 	for iter := 0; iter < 20; iter++ {
@@ -263,7 +266,9 @@ func TestInvertAllParallelMatchesSequential(t *testing.T) {
 		}
 		seq, par := NewPCover(m, nil), NewPCover(m, nil)
 		a := seq.InvertAll(nonFDs)
-		b := par.InvertAllParallel(nonFDs, 4)
+		pl := pool.New(4)
+		b := par.InvertAllPool(nonFDs, pl)
+		pl.Close()
 		if a != b {
 			t.Fatalf("added counts differ: %d vs %d", a, b)
 		}
@@ -271,9 +276,9 @@ func TestInvertAllParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("parallel inversion diverged")
 		}
 	}
-	// workers <= 1 falls back to sequential.
+	// A nil pool falls back to sequential.
 	p := NewPCover(3, nil)
-	if p.InvertAllParallel([]fdset.FD{fdset.NewFD([]int{1}, 0)}, 0) == 0 {
+	if p.InvertAllPool([]fdset.FD{fdset.NewFD([]int{1}, 0)}, nil) == 0 {
 		t.Error("fallback path added nothing")
 	}
 }

@@ -148,21 +148,13 @@ func (p *PCover) InvertAll(nonFDs []fdset.FD) int {
 	return added
 }
 
-// InvertAllParallel is InvertAll sharded by RHS on a transient pool of
-// workers goroutines: every per-RHS tree is touched by exactly one worker,
-// so no locking is needed, and the final cover is identical to the
-// sequential result (the cover is determined by the set of inverted
-// non-FDs, not their order). workers ≤ 1 falls back to the sequential
-// path. Callers that already own a pool should use InvertAllPool.
-func (p *PCover) InvertAllParallel(nonFDs []fdset.FD, workers int) int {
-	pl := pool.New(workers)
-	defer pl.Close()
-	return p.InvertAllPool(nonFDs, pl)
-}
-
 // InvertAllPool is InvertAll sharded by RHS over a shared worker pool (nil
-// pool = sequential). Per-shard added counts land in a private results
-// slot, so no synchronization beyond the pool's own join is needed.
+// pool = sequential). Every per-RHS tree is touched by exactly one
+// worker, so no locking is needed, and the final cover is identical to
+// the sequential result (the cover is determined by the set of inverted
+// non-FDs, not their order). Per-shard added counts land in a private
+// results slot, so no synchronization beyond the pool's own join is
+// needed.
 func (p *PCover) InvertAllPool(nonFDs []fdset.FD, pl *pool.Pool) int {
 	if pl == nil {
 		return p.InvertAll(nonFDs)
@@ -210,17 +202,20 @@ func (p *PCover) Rebuild(rhs int, nonFDs []fdset.AttrSet) {
 	}
 }
 
-// FDs returns the candidate set as minimal, non-trivial FDs. Candidates
-// whose LHS covers every other attribute are kept: a key is a valid LHS.
+// FDs returns the candidate set as minimal, non-trivial FDs, in a frozen
+// set. Candidates whose LHS covers every other attribute are kept: a key
+// is a valid LHS. Each tree holds distinct sets and the trees are
+// disjoint by RHS, so the FDs go straight into the frozen slice without a
+// dedupe map.
 func (p *PCover) FDs() *fdset.Set {
-	s := fdset.NewSet()
+	fds := make([]fdset.FD, 0, p.Size())
 	for rhs, t := range p.trees {
 		t.ForEach(func(lhs fdset.AttrSet) bool {
-			s.Add(fdset.FD{LHS: lhs, RHS: rhs})
+			fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
 			return true
 		})
 	}
-	return s
+	return fdset.NewFrozenSet(fds)
 }
 
 // Tree exposes the per-RHS candidate tree.

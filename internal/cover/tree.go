@@ -34,10 +34,11 @@ type Tree struct {
 	members map[fdset.AttrSet]struct{}
 }
 
+// node is one set-trie node. A leaf holds exactly one stored set, which
+// is its own intersection and union, so it lives in inter (= union) and
+// needs no field of its own: that keeps a node at 120 bytes, inside the
+// 128-byte allocation size class instead of the 176-byte one.
 type node struct {
-	// Leaf fields: a leaf holds exactly one stored set.
-	leaf fdset.AttrSet
-	// Internal fields.
 	attr        int // split attribute; -1 marks a leaf
 	left, right *node
 	inter       fdset.AttrSet // intersection of all descendant sets
@@ -46,8 +47,11 @@ type node struct {
 
 func (n *node) isLeaf() bool { return n.attr < 0 }
 
+// set returns the stored set of a leaf.
+func (n *node) set() fdset.AttrSet { return n.inter }
+
 func newLeaf(s fdset.AttrSet) *node {
-	return &node{attr: -1, leaf: s, inter: s, union: s}
+	return &node{attr: -1, inter: s, union: s}
 }
 
 func (n *node) recompute() {
@@ -105,13 +109,18 @@ func (t *Tree) Add(s fdset.AttrSet) bool {
 	}
 	// Iterative descent. Adding a set can only shrink intersections and
 	// grow unions along the path, so aggregates are updated on the way
-	// down — no unwind needed.
+	// down — no unwind needed. Near the root they rarely change, so each
+	// is written only when s changes it, sparing the store.
 	n := t.root
 	var parent *node
 	fromRight := false
 	for !n.isLeaf() {
-		n.inter = n.inter.Intersect(s)
-		n.union = n.union.Union(s)
+		if !n.inter.IsSubsetOf(s) {
+			n.inter = n.inter.Intersect(s)
+		}
+		if !s.IsSubsetOf(n.union) {
+			n.union = n.union.Union(s)
+		}
 		parent = n
 		if s.Has(n.attr) {
 			n, fromRight = n.right, true
@@ -120,9 +129,9 @@ func (t *Tree) Add(s fdset.AttrSet) bool {
 		}
 	}
 	// Split the leaf on an attribute that discriminates it from s.
-	a := t.splitAttr(n.leaf, s)
+	a := t.splitAttr(n.set(), s)
 	in := &node{attr: a}
-	if n.leaf.Has(a) {
+	if n.set().Has(a) {
 		in.right, in.left = n, newLeaf(s)
 	} else {
 		in.left, in.right = n, newLeaf(s)
@@ -156,7 +165,7 @@ func containsSuperset(n *node, s fdset.AttrSet) bool {
 		return false
 	}
 	if n.isLeaf() {
-		return s.IsSubsetOf(n.leaf)
+		return s.IsSubsetOf(n.set())
 	}
 	if s.Has(n.attr) {
 		// Supersets of s must contain n.attr, so only the right subtree.
@@ -191,12 +200,10 @@ func findSubset(n *node, s fdset.AttrSet) (fdset.AttrSet, bool) {
 				n = n.right
 			}
 		}
-		return n.leaf, true
+		return n.set(), true
 	}
 	if n.isLeaf() {
-		if n.leaf.IsSubsetOf(s) {
-			return n.leaf, true
-		}
+		// A leaf's set is its union, which the shortcut found ⊄ s.
 		return fdset.AttrSet{}, false
 	}
 	if !s.Has(n.attr) {
@@ -223,7 +230,8 @@ func findSubsetWith(n *node, s fdset.AttrSet, attr int) bool {
 		return false
 	}
 	if n.isLeaf() {
-		return n.leaf.Has(attr) && n.leaf.IsSubsetOf(s)
+		// A leaf's set is its union and its intersection, both checked.
+		return true
 	}
 	if n.attr == attr {
 		// Sets containing attr live only in the right subtree.
@@ -246,11 +254,9 @@ func (t *Tree) RemoveSubsets(s fdset.AttrSet) []fdset.AttrSet {
 			return n
 		}
 		if n.isLeaf() {
-			if n.leaf.IsSubsetOf(s) {
-				removed = append(removed, n.leaf)
-				return nil
-			}
-			return n
+			// A leaf's set is its intersection, checked above.
+			removed = append(removed, n.set())
+			return nil
 		}
 		n.left = walk(n.left)
 		if s.Has(n.attr) {
@@ -288,7 +294,7 @@ func (t *Tree) Remove(s fdset.AttrSet) bool {
 			return nil
 		}
 		if n.isLeaf() {
-			if n.leaf == s {
+			if n.set() == s {
 				removed = true
 				return nil
 			}
@@ -327,7 +333,7 @@ func (t *Tree) ForEach(fn func(fdset.AttrSet) bool) {
 			return true
 		}
 		if n.isLeaf() {
-			return fn(n.leaf)
+			return fn(n.set())
 		}
 		return walk(n.left) && walk(n.right)
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"eulerfd/internal/fdset"
 )
@@ -376,5 +377,14 @@ func TestPCoverQuickAntichain(t *testing.T) {
 		return true
 	}, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNodeSizeClass guards the lean node layout: a trie node must fit the
+// 128-byte allocation size class, which a third AttrSet field would
+// silently undo.
+func TestNodeSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size > 128 {
+		t.Errorf("unsafe.Sizeof(node{}) = %d, want <= 128", size)
 	}
 }

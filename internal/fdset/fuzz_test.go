@@ -124,3 +124,42 @@ func FuzzAttrSetOps(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSetJSON decodes arbitrary bytes as FDs, in both set forms, and
+// checks the direct encoder: its output equals encoding/json over the
+// fdWire shape, and encode → UnmarshalJSON → encode is a fixed point.
+func FuzzSetJSON(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Add(make([]byte, 50), true)
+	f.Add(append(make([]byte, 49), 0xff, 7, 0x80, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16), false)
+	f.Fuzz(func(t *testing.T, data []byte, frozen bool) {
+		// Each FD takes one RHS byte and up to 48 bytes of LHS words.
+		var fds []FD
+		for len(data) > 0 && len(fds) < 64 {
+			rhs := int(data[0]) % MaxAttrs
+			data = data[1:]
+			n := min(len(data), 8*int(rhs%7))
+			fds = append(fds, FD{LHS: fuzzSet(data[:n]), RHS: rhs})
+			data = data[n:]
+		}
+		s := NewSet(fds...)
+		if frozen {
+			s = NewFrozenSet(fds)
+		}
+		got, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceJSON(t, s.Slice()); string(got) != string(want) {
+			t.Fatalf("encoder wrote\n%s\nwant\n%s", got, want)
+		}
+		var back Set
+		if err := back.UnmarshalJSON(got); err != nil {
+			t.Fatal(err)
+		}
+		again, _ := back.MarshalJSON()
+		if string(again) != string(got) || !back.Equal(s) {
+			t.Fatalf("round trip changed the set:\n%s\n%s", got, again)
+		}
+	})
+}
